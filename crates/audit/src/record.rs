@@ -2,7 +2,7 @@
 
 use datacase_core::ids::{EntityId, UnitId};
 use datacase_core::purpose::PurposeId;
-use datacase_crypto::hmac::hmac_sha256;
+use datacase_crypto::hmac::HmacKey;
 use datacase_sim::time::Ts;
 
 /// One audit log record (the persisted mirror of an action-history tuple,
@@ -62,16 +62,16 @@ impl LogRecord {
 /// invariant IX.
 #[derive(Clone, Debug)]
 pub struct HmacChain {
-    key: [u8; 32],
+    key: HmacKey,
     head: [u8; 32],
     links: u64,
 }
 
 impl HmacChain {
-    /// A chain sealed under `key`.
+    /// A chain sealed under `key` (the MAC key is `SHA-256(key)`).
     pub fn new(key: &[u8]) -> HmacChain {
         HmacChain {
-            key: datacase_crypto::sha256::Sha256::digest(key),
+            key: HmacKey::new(&datacase_crypto::sha256::Sha256::digest(key)),
             head: [0u8; 32],
             links: 0,
         }
@@ -79,9 +79,7 @@ impl HmacChain {
 
     /// Extend the chain with a record's bytes; returns the new head MAC.
     pub fn extend(&mut self, bytes: &[u8]) -> [u8; 32] {
-        let mut input = self.head.to_vec();
-        input.extend_from_slice(bytes);
-        self.head = hmac_sha256(&self.key, &input);
+        self.head = self.key.mac(&[&self.head, bytes]);
         self.links += 1;
         self.head
     }

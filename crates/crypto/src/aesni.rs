@@ -1,11 +1,12 @@
 //! Hardware AES (AES-NI) via `std::arch::x86_64` intrinsics.
 //!
-//! This is the crate's **only** module containing `unsafe` code, and every
-//! unsafe block reduces to one precondition: the host CPU supports the
-//! `aes` (and baseline `sse2`) instruction set. That precondition is
-//! checked exactly once, at [`AesNi::new`], via
-//! `is_x86_feature_detected!("aes")` — construction fails with `None` on
-//! non-capable hosts, so a live [`AesNi`] value *is* the proof that the
+//! This is one of the crate's two modules containing `unsafe` code (the
+//! other is [`shani`](crate::shani)), and every unsafe block here reduces
+//! to one precondition: the host CPU supports the `aes` (and baseline
+//! `sse2`) instruction set. That precondition is checked exactly once,
+//! at [`AesNi::new`], via `is_x86_feature_detected!("aes")` —
+//! construction fails with `None` on non-capable hosts, so a live
+//! [`AesNi`] value *is* the proof that the
 //! `#[target_feature(enable = "aes")]` functions below may run. Callers
 //! never touch `unsafe`; they go through the safe methods.
 //!

@@ -7,41 +7,62 @@ use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;
 
+/// An HMAC-SHA-256 key, prepared once: the inner and outer hashes already
+/// hold their padded key block (`K ⊕ ipad`, `K ⊕ opad`), so each MAC
+/// clones the two midstates instead of rehashing the pads.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The midstates are key material.
+        f.write_str("HmacKey(..)")
+    }
+}
+
+impl HmacKey {
+    /// Prepare `key` (hashed first when longer than a block, RFC 2104).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ byte));
+            h
+        };
+        HmacKey {
+            inner: pad(0x36),
+            outer: pad(0x5c),
+        }
+    }
+
+    /// The MAC of the concatenation of `parts`, without building it.
+    pub fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Compute HMAC-SHA-256 of `data` under `key`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&Sha256::digest(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(&[data])
 }
 
 /// Constant-shape comparison of two MACs (length + bytes).
 pub fn verify(key: &[u8], data: &[u8], mac: &[u8]) -> bool {
-    let computed = hmac_sha256(key, data);
-    if mac.len() != computed.len() {
-        return false;
-    }
-    let mut diff = 0u8;
-    for (a, b) in computed.iter().zip(mac.iter()) {
-        diff |= a ^ b;
-    }
-    diff == 0
+    crate::ct_eq(&hmac_sha256(key, data), mac)
 }
 
 #[cfg(test)]

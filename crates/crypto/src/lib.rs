@@ -24,20 +24,30 @@
 //! [`vault`] caches expanded key schedules (hardware round keys
 //! included) per live unit.
 //!
+//! The hash lane has no selector: [`sha256`] compresses on SHA-NI
+//! ([`shani`]) whenever the host has it and on the portable rounds
+//! otherwise, and the same equivalence gate calls both directly. The
+//! audit chain's HMAC, the sector ESSIV hash, vault key derivation and
+//! PBKDF2 all run on it.
+//!
 //! Modules:
 //! * [`aes`] — AES-128/192/256 block cipher (encrypt + decrypt).
-//! * [`aesni`] — hardware AES via `std::arch` intrinsics; the crate's
-//!   only `unsafe`.
+//! * [`aesni`] — hardware AES via `std::arch` intrinsics.
 //! * [`backend`] — the `Auto`/`Software`/`Hardware`/`Reference` selector.
 //! * [`ctr`] — AES-CTR stream mode used for tuple- and page-level encryption.
 //! * [`sha256`] — SHA-256 digest.
-//! * [`hmac`] — HMAC-SHA-256.
+//! * [`shani`] — hardware SHA-256 compression via `std::arch` intrinsics.
+//! * [`hmac`] — HMAC-SHA-256, with keys prepared once ([`hmac::HmacKey`]).
 //! * [`kdf`] — a LUKS-flavoured iterated-hash key-derivation shim.
 //! * [`vault`] — per-data-unit key vault enabling *crypto-erasure* (destroy
 //!   the key ⇒ ciphertext is permanently unreadable), the alternative
 //!   grounding of permanent deletion discussed in the paper's related work.
 //! * [`sector`] — sector/page encryption helper emulating LUKS-style
 //!   disk-layer encryption for the P_GBench profile.
+//!
+//! [`aesni`] and [`shani`] are the crate's only modules with `unsafe`
+//! code. Each confines it behind one checked constructor that detects the
+//! CPU feature; both compile out with the `hw-aes` feature disabled.
 
 pub mod aes;
 pub mod aesni;
@@ -47,6 +57,7 @@ pub mod hmac;
 pub mod kdf;
 pub mod sector;
 pub mod sha256;
+pub mod shani;
 pub mod vault;
 
 pub use aes::{Aes, KeySize};

@@ -1,6 +1,16 @@
 //! SHA-256 (FIPS-180-4).
+//!
+//! [`Sha256`] buffers input into 64-byte blocks and hands every whole
+//! block to one compression function. That function runs on SHA-NI
+//! ([`ShaNi`]) where the host has it and on the portable
+//! [`compress_software`] otherwise; the two produce the same state for the
+//! same input, which the workspace `tests/prop_crypto.rs` checks by
+//! calling both directly.
 
-const K: [u32; 64] = [
+use crate::shani::ShaNi;
+
+/// The 64 round constants.
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -11,7 +21,8 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+/// The initial hash value `H(0)`: the state of a fresh hasher.
+pub const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -58,48 +69,64 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            compress(&mut self.state, &data[..whole]);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let rest = &data[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let len_bits = self.length_bits;
         // Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buffered < 56 {
-            56 - self.buffered
-        } else {
-            120 - self.buffered
-        };
-        self.update(&pad[..pad_len]);
-        // update() changed length_bits; we only care about the block flush.
-        debug_assert_eq!(self.buffered, 56);
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&len_bits.to_be_bytes());
-        self.compress(&block.clone());
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0u8; 64];
+        }
+        self.buffer[56..].copy_from_slice(&self.length_bits.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The compression function over whole blocks, on SHA-NI when the host
+/// has it.
+#[inline]
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    match ShaNi::detect() {
+        Some(hw) => hw.compress(state, blocks),
+        None => compress_software(state, blocks),
+    }
+}
+
+/// The portable FIPS-180-4 compression function: runs each 64-byte block
+/// of `blocks` in turn through the 64 rounds, updating `state`. It is the
+/// fallback on hosts without SHA-NI and the oracle the hardware lane is
+/// tested against.
+///
+/// # Panics
+/// Panics if `blocks.len()` is not a multiple of 64.
+pub fn compress_software(state: &mut [u32; 8], blocks: &[u8]) {
+    assert!(
+        blocks.len().is_multiple_of(64),
+        "compress requires whole 64-byte blocks"
+    );
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
@@ -112,7 +139,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -133,14 +160,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 

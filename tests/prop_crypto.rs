@@ -18,11 +18,20 @@
 //! `Software` run keeps the dispatch path covered on hosts without
 //! AES-NI, where `Hardware` resolves to the same software stream.
 
+//! The `sha256_`/`hmac_` properties pin the hash lane the same way: the
+//! SHA-NI compression ≡ the portable rounds (both called directly, so the
+//! software rounds stay covered on SHA-NI hosts), streaming `Sha256` ≡ a
+//! software-only oracle at the padding boundaries, and a prepared
+//! `HmacKey` over split parts ≡ the one-shot MAC of their concatenation.
+
 use proptest::prelude::*;
 
 use data_case::crypto::aes::{Aes, KeySize};
 use data_case::crypto::ctr::AesCtr;
+use data_case::crypto::hmac::{hmac_sha256, HmacKey};
 use data_case::crypto::sector::SectorCipher;
+use data_case::crypto::sha256::{self, Sha256};
+use data_case::crypto::shani::ShaNi;
 use data_case::crypto::vault::KeyVault;
 use data_case::crypto::{aesni, ActiveBackend, CryptoBackend};
 
@@ -311,5 +320,87 @@ fn backend_keystream_cache_interaction() {
     }
     for pair in streams.windows(2) {
         assert_eq!(pair[0], pair[1], "cached streams differ across backends");
+    }
+}
+
+/// SHA-256 on the portable rounds only, whatever the host supports:
+/// FIPS-180 padding by hand, then every block through
+/// `compress_software`.
+fn sha256_software(data: &[u8]) -> [u8; 32] {
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = sha256::H0;
+    sha256::compress_software(&mut state, &msg);
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// `data` split at the sorted, clamped `cuts` (empty parts included).
+fn split_at_cuts(data: &[u8], cuts: Vec<usize>) -> Vec<&[u8]> {
+    let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+    cuts.sort_unstable();
+    cuts.push(data.len());
+    let mut at = 0;
+    cuts.into_iter()
+        .map(|c| {
+            let part = &data[at..c];
+            at = c;
+            part
+        })
+        .collect()
+}
+
+proptest! {
+    /// Hash lane, compression level: SHA-NI ≡ the portable rounds from a
+    /// random state over random multi-block input.
+    #[test]
+    fn sha256_hardware_compression_agrees(state in proptest::collection::vec(any::<u32>(), 8),
+                                          data in proptest::collection::vec(0u8..=255, 0..700)) {
+        let Some(hw) = ShaNi::detect() else {
+            return Ok(()); // no SHA-NI here: `Sha256` runs the software rounds
+        };
+        let blocks = &data[..data.len() - data.len() % 64];
+        let start: [u32; 8] = state.try_into().unwrap();
+        let mut fast = start;
+        let mut slow = start;
+        hw.compress(&mut fast, blocks);
+        sha256::compress_software(&mut slow, blocks);
+        prop_assert_eq!(fast, slow, "{} blocks diverged", blocks.len() / 64);
+    }
+
+    /// Hash lane, digest level: streaming `Sha256` (SHA-NI where the host
+    /// has it) fed in random split `update` calls ≡ the software oracle,
+    /// with lengths at the padding boundaries and at random.
+    #[test]
+    fn sha256_streaming_agrees_with_software(
+        len in prop_oneof![Just(55usize), Just(56usize), Just(63usize), Just(64usize), Just(119usize),
+                           Just(120usize),
+                           0usize..700],
+        fill in proptest::collection::vec(0u8..=255, 700),
+        cuts in proptest::collection::vec(0usize..700, 0..6),
+    ) {
+        let data = &fill[..len];
+        let mut h = Sha256::new();
+        for part in split_at_cuts(data, cuts) {
+            h.update(part);
+        }
+        prop_assert_eq!(h.finalize(), sha256_software(data), "len {}", len);
+    }
+
+    /// HMAC: a prepared key over split parts ≡ the one-shot MAC over their
+    /// concatenation, for keys shorter and longer than a block.
+    #[test]
+    fn hmac_parts_agree_with_concatenation(key in proptest::collection::vec(0u8..=255, 0..100),
+                                           data in proptest::collection::vec(0u8..=255, 0..400),
+                                           cuts in proptest::collection::vec(0usize..400, 0..5)) {
+        let parts = split_at_cuts(&data, cuts);
+        prop_assert_eq!(HmacKey::new(&key).mac(&parts), hmac_sha256(&key, &data));
     }
 }
