@@ -15,9 +15,11 @@ use crate::record::{HmacChain, LogRecord};
 /// [`charge`](AuditLogger::charge) pays the record's costs at the instant
 /// the operation happens (only the payload *length* is needed), and
 /// [`append_precharged`](AuditLogger::append_precharged) commits the
-/// finished record — possibly later, once deferred payload work (e.g.
-/// parallel decryption) has completed — without charging again. The plain
-/// [`log`](AuditLogger::log) is the sequential composition of the two.
+/// finished record — possibly later, at the end of the span, once the
+/// read's deferred decryption has filled its payload — without charging
+/// again. Any at-rest payload encryption happens inside
+/// `append_precharged`. The plain [`log`](AuditLogger::log) is the
+/// sequential composition of the two.
 pub trait AuditLogger: Send {
     /// Backend display name.
     fn name(&self) -> &'static str;
@@ -39,36 +41,6 @@ pub trait AuditLogger: Send {
     /// [`charge`](AuditLogger::charge). The record joins the store and the
     /// tamper-evidence chain in call order.
     fn append_precharged(&mut self, rec: LogRecord);
-
-    /// The cipher this backend applies to payloads at rest, if any. A
-    /// pipelined engine uses it to run the payload transformation itself
-    /// — fanned out across apply-stage workers — and commits the result
-    /// through [`append_ciphered`](AuditLogger::append_ciphered). The
-    /// transformation is deterministic per record
-    /// (`iv_from_nonce(rec.seq)`), so offloading it never changes the
-    /// stored bytes or the chain.
-    fn payload_cipher(&self) -> Option<std::sync::Arc<AesCtr>> {
-        None
-    }
-
-    /// Commit a record whose payload is **already** in its at-rest form
-    /// (transformed with the cipher from
-    /// [`payload_cipher`](AuditLogger::payload_cipher) under
-    /// `iv_from_nonce(rec.seq)`), costs precharged. Plaintext backends
-    /// store payloads as-is, so their default is plain
-    /// [`append_precharged`](AuditLogger::append_precharged) — but a
-    /// backend that advertises a payload cipher **must** override this,
-    /// or the default would apply its cipher a second time on top of the
-    /// engine's; the assertion turns that silent double-encryption into
-    /// a loud failure.
-    fn append_ciphered(&mut self, rec: LogRecord) {
-        assert!(
-            self.payload_cipher().is_none(),
-            "{}: backend advertises a payload cipher but did not override append_ciphered",
-            self.name()
-        );
-        self.append_precharged(rec);
-    }
 
     /// The chain's current head MAC, resealing pending redactions first —
     /// a 32-byte digest two logs can be compared by.
@@ -364,16 +336,11 @@ impl AuditLogger for FullQueryLogger {
 
 /// P_SYS: encrypted logging (AES-128) with per-unit deletion. Payloads are
 /// stored as ciphertext; scanning for plaintext finds nothing, and erasing
-/// a unit redacts its records.
-///
-/// The cipher schedule is expanded once at construction and shared via
-/// [`Arc`](std::sync::Arc), so a pipelined engine can encrypt record
-/// payloads on its apply-stage workers ([`AuditLogger::payload_cipher`] +
-/// [`AuditLogger::append_ciphered`]) instead of paying the AES serially
-/// at append time.
+/// a unit redacts its records. The cipher schedule is expanded once at
+/// construction.
 pub struct EncryptedLogger {
     core: LogCore,
-    cipher: std::sync::Arc<AesCtr>,
+    cipher: AesCtr,
 }
 
 impl EncryptedLogger {
@@ -401,7 +368,7 @@ impl EncryptedLogger {
         meter: std::sync::Arc<Meter>,
     ) -> EncryptedLogger {
         EncryptedLogger {
-            cipher: std::sync::Arc::new(cipher),
+            cipher,
             core: LogCore::new(chain_key, clock, meter),
         }
     }
@@ -413,19 +380,8 @@ impl EncryptedLogger {
         mut self,
         backend: datacase_crypto::CryptoBackend,
     ) -> EncryptedLogger {
-        self.cipher = std::sync::Arc::new(self.cipher.as_ref().clone().with_backend(backend));
+        self.cipher = self.cipher.with_backend(backend);
         self
-    }
-
-    /// Back-compat shim: `true` is `CryptoBackend::Reference`, `false`
-    /// the default `CryptoBackend::Auto`. Prefer
-    /// [`with_crypto_backend`](EncryptedLogger::with_crypto_backend).
-    pub fn with_reference_crypto(self, on: bool) -> EncryptedLogger {
-        self.with_crypto_backend(if on {
-            datacase_crypto::CryptoBackend::Reference
-        } else {
-            datacase_crypto::CryptoBackend::Auto
-        })
     }
 }
 
@@ -446,17 +402,6 @@ impl AuditLogger for EncryptedLogger {
     fn append_precharged(&mut self, mut rec: LogRecord) {
         self.cipher
             .apply(AesCtr::iv_from_nonce(rec.seq), &mut rec.payload);
-        self.core.store(rec);
-    }
-
-    fn payload_cipher(&self) -> Option<std::sync::Arc<AesCtr>> {
-        Some(std::sync::Arc::clone(&self.cipher))
-    }
-
-    fn append_ciphered(&mut self, rec: LogRecord) {
-        // The payload already carries this logger's cipher (applied on
-        // the pipeline's workers under iv_from_nonce(seq)); storing it
-        // as-is yields byte-identical records to the serial path.
         self.core.store(rec);
     }
 
@@ -619,38 +564,6 @@ mod tests {
         hashed.log(rec(1, 1, b"payload"));
         assert_eq!(cheap.chain_head(), hashed.chain_head());
         assert_eq!(cheap.bytes(), hashed.bytes());
-    }
-
-    #[test]
-    fn offloaded_encryption_is_byte_identical_to_append_precharged() {
-        // What the pipelined engine does: charge, encrypt the payload
-        // itself with payload_cipher() under iv_from_nonce(seq), then
-        // append_ciphered. The stored records and chain must match the
-        // serial append_precharged path exactly.
-        let clock = SimClock::commodity();
-        let meter = Arc::new(Meter::new());
-        let mut serial = EncryptedLogger::new(b"k", clock.clone(), meter.clone());
-        let mut offload = EncryptedLogger::new(b"k", clock, meter);
-        assert!(
-            CsvRowLogger::new(b"k", SimClock::commodity(), Arc::new(Meter::new()))
-                .payload_cipher()
-                .is_none(),
-            "plaintext backends advertise no payload cipher"
-        );
-        for seq in 1..=3u64 {
-            let r = rec(seq, seq, format!("payload-{seq}").as_bytes());
-            serial.charge(&r, r.payload.len());
-            serial.append_precharged(r.clone());
-
-            offload.charge(&r, r.payload.len());
-            let cipher = offload.payload_cipher().expect("encrypted backend");
-            let mut r2 = r.clone();
-            cipher.apply(AesCtr::iv_from_nonce(r2.seq), &mut r2.payload);
-            offload.append_ciphered(r2);
-        }
-        assert_eq!(serial.chain_head(), offload.chain_head());
-        assert_eq!(serial.bytes(), offload.bytes());
-        assert_eq!(offload.scan(b"payload"), 0, "still ciphertext at rest");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! submit over both storage backends, on a read-heavy (YCSB-B) and a
 //! mixed (YCSB-A) profile. The pipeline's contract is that simulated
 //! results are byte-identical between modes — what this bench measures is
-//! the *wall-clock* payoff of fanning read-wave payload work (per-tuple
-//! AES) out across scoped worker threads.
+//! the *wall-clock* difference between the staged and the plain serial
+//! path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datacase_bench::figures::pipeline_cell;

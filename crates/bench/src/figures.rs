@@ -768,18 +768,18 @@ pub struct PipelinePoint {
 }
 
 /// Requests per submitted batch in the pipeline bench: large enough that
-/// read waves clear the fan-out threshold comfortably.
+/// each span carries a full read wave.
 pub const PIPELINE_BATCH: usize = 256;
 
 /// Wall-time repetitions per cell (the minimum is reported).
 pub const PIPELINE_REPS: usize = 3;
 
 /// Run one pipeline cell: P_Base (per-tuple AES-256 — exactly the payload
-/// work the apply stage fans out) over `backend`, running a YCSB mix as
+/// work the apply stage defers) over `backend`, running a YCSB mix as
 /// the processor, with the epoch-versioned decision cache on in **both**
 /// modes so the comparison isolates the pipeline itself. Records carry
 /// classic 1 KiB YCSB payloads (not the paper figures' compact 100-byte
-/// shape) so the cells measure the AES fan-out under a meaningful crypto
+/// shape) so the cells measure the apply stage under a meaningful crypto
 /// load rather than per-op dispatch overhead. Returns the
 /// transaction-phase stats (the load phase is excluded from timing).
 pub fn pipeline_cell(
@@ -971,16 +971,13 @@ impl CryptoPoint {
 /// the retained byte-oriented reference rounds (selected per engine via
 /// [`EngineConfig::with_crypto_backend`], so results are bit-identical
 /// and only wall time moves), the software T-table path with the
-/// pipeline off and on (apply-stage fan-out of tuple **and** P_SYS
-/// audit-log AES), and on AES-NI hosts the hardware backend with the
+/// pipeline off and on, and on AES-NI hosts the hardware backend with the
 /// pipeline on.
 ///
-/// The reference cells isolate the *round/XOR implementation*: this PR's
-/// other wins — cached key schedules, the `Arc`'d log cipher, the
-/// worker-pool offload — stay active in them, and each made the pre-PR
-/// engine strictly slower than what the toggle reproduces. The reported
-/// reference-vs-pipelined speedup is therefore a **lower bound** on the
-/// true pre-overhaul gap.
+/// The reference cells isolate the *round/XOR implementation*: cached
+/// key schedules stay active in them, so the reported
+/// reference-vs-pipelined speedup is a **lower bound** on the gap to an
+/// engine that re-expands keys per operation.
 #[derive(Clone, Debug)]
 pub struct CryptoEndToEnd {
     /// The encrypted profile under test.

@@ -83,17 +83,6 @@ impl AesCtr {
         AesCtr::with_schedule(self.aes, backend)
     }
 
-    /// Back-compat shim: `true` is [`CryptoBackend::Reference`], `false`
-    /// the default [`CryptoBackend::Auto`]. Prefer
-    /// [`with_backend`](AesCtr::with_backend).
-    pub fn with_reference_mode(self, on: bool) -> AesCtr {
-        self.with_backend(if on {
-            CryptoBackend::Reference
-        } else {
-            CryptoBackend::Auto
-        })
-    }
-
     /// Whether this instance takes the reference path.
     pub fn is_reference(&self) -> bool {
         self.reference
@@ -354,7 +343,7 @@ mod tests {
     #[test]
     fn reference_mode_is_per_instance_and_byte_identical() {
         let fast = AesCtr::from_key(KeySize::Aes128, &[7u8; 16]);
-        let slow = fast.clone().with_reference_mode(true);
+        let slow = fast.clone().with_backend(CryptoBackend::Reference);
         assert!(
             !fast.is_reference(),
             "the flag must not leak across instances"
@@ -395,7 +384,7 @@ mod tests {
     #[test]
     fn apply_at_reference_mode_agrees_with_fast_path() {
         let fast = AesCtr::from_key(KeySize::Aes128, &[0x66; 16]);
-        let slow = fast.clone().with_reference_mode(true);
+        let slow = fast.clone().with_backend(CryptoBackend::Reference);
         let iv = [0xFF; 16]; // counter at u64::MAX: the offset wraps it
         let mut a: Vec<u8> = (0..75).map(|i| i as u8).collect();
         let mut b = a.clone();

@@ -5,8 +5,6 @@
 //! from a passphrase via [`crate::kdf::luks_derive_key`]. The IV is bound to
 //! the sector number (ESSIV-flavoured: we hash the sector with the key).
 
-use std::sync::Arc;
-
 use crate::aes::KeySize;
 use crate::backend::{ActiveBackend, CryptoBackend};
 use crate::ctr::AesCtr;
@@ -14,14 +12,12 @@ use crate::sha256::Sha256;
 
 /// Encrypts/decrypts fixed-size sectors with a sector-bound IV.
 ///
-/// The expanded cipher is held behind an [`Arc`] so deferred sector work
-/// (pipeline offload) can carry a shared handle into worker threads, and
-/// the ESSIV hash is kept as a **midstate**: a [`Sha256`] already fed the
+/// The ESSIV hash is kept as a **midstate**: a [`Sha256`] already fed the
 /// key-bound salt at construction, cloned per sector instead of re-hashing
 /// the salt for every page.
 #[derive(Clone, Debug)]
 pub struct SectorCipher {
-    ctr: Arc<AesCtr>,
+    ctr: AesCtr,
     iv_midstate: Sha256,
 }
 
@@ -36,7 +32,7 @@ impl SectorCipher {
         let mut midstate = Sha256::new();
         midstate.update(&iv_salt);
         SectorCipher {
-            ctr: Arc::new(AesCtr::from_key(size, &key)),
+            ctr: AesCtr::from_key(size, &key),
             iv_midstate: midstate,
         }
     }
@@ -46,33 +42,15 @@ impl SectorCipher {
         self.ctr.key_size()
     }
 
-    /// A shared handle to the expanded CTR cipher — what deferred sector
-    /// jobs carry to pipeline workers (`Send + Sync`, schedule expanded
-    /// once at construction).
-    pub fn shared_ctr(&self) -> Arc<AesCtr> {
-        Arc::clone(&self.ctr)
-    }
-
     /// Rebuild this cipher under `backend` (see [`AesCtr::with_backend`])
     /// — per-instance, for A/B bench engines that must not affect other
     /// engines in the process. Key material and sector-IV binding are
     /// unchanged; only the round implementation differs.
     pub fn with_backend(self, backend: CryptoBackend) -> SectorCipher {
         SectorCipher {
-            ctr: Arc::new((*self.ctr).clone().with_backend(backend)),
+            ctr: self.ctr.with_backend(backend),
             iv_midstate: self.iv_midstate,
         }
-    }
-
-    /// Back-compat shim: `true` is [`CryptoBackend::Reference`], `false`
-    /// the default [`CryptoBackend::Auto`]. Prefer
-    /// [`with_backend`](SectorCipher::with_backend).
-    pub fn with_reference_mode(self, on: bool) -> SectorCipher {
-        self.with_backend(if on {
-            CryptoBackend::Reference
-        } else {
-            CryptoBackend::Auto
-        })
     }
 
     /// Whether this cipher runs the retained reference path. Layers that
@@ -91,9 +69,8 @@ impl SectorCipher {
 
     /// The ESSIV-flavoured IV binding `sector` to this cipher's key: the
     /// key-bound hash midstate (salt absorbed once at construction) is
-    /// cloned and fed only the sector number. Public so deferred sector
-    /// jobs can be built outside the cipher.
-    pub fn sector_iv(&self, sector: u64) -> [u8; 16] {
+    /// cloned and fed only the sector number.
+    fn sector_iv(&self, sector: u64) -> [u8; 16] {
         let mut h = self.iv_midstate.clone();
         h.update(&sector.to_be_bytes());
         let d = h.finalize();
@@ -187,17 +164,5 @@ mod tests {
             expected[..8].copy_from_slice(&d[..8]);
             assert_eq!(sc.sector_iv(sector), expected, "sector {sector}");
         }
-    }
-
-    #[test]
-    fn shared_ctr_decrypts_what_apply_encrypted() {
-        let sc = SectorCipher::from_passphrase(b"disk-pass", KeySize::Aes256);
-        let original = vec![0x3Cu8; 4096];
-        let mut data = original.clone();
-        sc.apply(9, &mut data);
-        // A deferred job carries (shared_ctr, sector_iv) and must land on
-        // the same stream.
-        sc.shared_ctr().apply_blocks(sc.sector_iv(9), &mut data);
-        assert_eq!(data, original);
     }
 }

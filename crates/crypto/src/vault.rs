@@ -145,17 +145,6 @@ impl KeyVault {
         self
     }
 
-    /// Back-compat shim: `true` is [`CryptoBackend::Reference`], `false`
-    /// the default [`CryptoBackend::Auto`]. Prefer
-    /// [`with_backend`](KeyVault::with_backend).
-    pub fn with_reference_mode(self, on: bool) -> KeyVault {
-        self.with_backend(if on {
-            CryptoBackend::Reference
-        } else {
-            CryptoBackend::Auto
-        })
-    }
-
     /// The backend this vault expands schedules under.
     pub fn backend(&self) -> CryptoBackend {
         self.backend
@@ -209,8 +198,8 @@ impl KeyVault {
 
     /// The unit's CTR cipher, if its key is live — a shared handle to the
     /// schedule expanded once at [`ensure_key`](KeyVault::ensure_key)
-    /// time, cheap enough to hand to every operation (and to worker
-    /// threads: the handle is `Send + Sync`).
+    /// time, cheap enough to hand to every operation (and to deferred
+    /// decrypt jobs that outlive the borrow of the vault).
     pub fn cipher(&self, unit: u64) -> Result<Arc<AesCtr>, VaultError> {
         match self.schedules.get(&unit) {
             Some(c) => {
@@ -599,14 +588,6 @@ mod tests {
         v.ensure_key(1);
         // A schedule exists: rerouting now would silently mix backends.
         let _ = v.with_backend(CryptoBackend::Reference);
-    }
-
-    #[test]
-    #[should_panic(expected = "construction-time invariant")]
-    fn reference_shim_after_first_key_is_impossible_too() {
-        let mut v = KeyVault::new(b"m", KeySize::Aes128);
-        v.ensure_key(1);
-        let _ = v.with_reference_mode(true);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::profiles::EngineConfig;
 
 /// Upper bound on how many queued submissions a shard worker fuses into
 /// one staged pipeline pass. Bounds reply latency under sustained load
-/// without giving up cross-batch span coalescing.
+/// without giving up cross-batch span fusion.
 pub const MAX_BURST: usize = 32;
 
 /// Which shard owns a request: its key modulo the shard count, or `None`

@@ -44,7 +44,7 @@ use datacase_storage::heap::HeapDb;
 use datacase_workloads::opstream::{MetaField, MetaSelector};
 
 use crate::error::EngineError;
-use crate::exec::{CachedDecision, CipherJob, CipherPool, DecisionCache, StagedRead};
+use crate::exec::{CachedDecision, CipherJob, DecisionCache, StagedRead};
 use crate::frontend::{Reply, Request};
 use crate::profiles::{DeleteStrategy, EngineConfig, ProfileKind};
 
@@ -102,9 +102,6 @@ pub struct CompliantDb {
     clock: SimClock,
     meter: Arc<Meter>,
     decisions: DecisionCache,
-    /// The persistent apply-stage AES pool (present when the pipeline is
-    /// on and more than one worker is available).
-    pool: Option<CipherPool>,
     /// Pipelined-span mode: audit records are charged and sequenced
     /// immediately but queued in `pending_log` instead of entering the
     /// store, until the span flushes (see `datacase_engine::exec`).
@@ -200,14 +197,6 @@ impl CompliantDb {
             }
         };
 
-        let workers = match config.pipeline_workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            n => n,
-        };
-        let pool = (config.pipeline && workers > 1).then(|| CipherPool::new(workers));
         let decisions = DecisionCache::new(config.decision_cache);
         let mut db = CompliantDb {
             config,
@@ -231,7 +220,6 @@ impl CompliantDb {
             clock,
             meter,
             decisions,
-            pool,
             deferred: false,
             pending_log: Vec::new(),
             deletes_since_maintenance: 0,
@@ -390,16 +378,6 @@ impl CompliantDb {
         self.enforcer.sync_bus();
     }
 
-    /// The persistent apply-stage AES worker pool, if fan-out is possible.
-    pub(crate) fn pool(&self) -> Option<&CipherPool> {
-        self.pool.as_ref()
-    }
-
-    /// Minimum distinct span bytes before apply-stage AES fans out.
-    pub(crate) fn fanout_bytes(&self) -> usize {
-        self.config.pipeline_fanout_bytes
-    }
-
     /// Live decision-cache entries (tests).
     #[cfg(test)]
     pub(crate) fn cached_decisions(&self) -> usize {
@@ -426,7 +404,6 @@ impl CompliantDb {
             "flush before leaving"
         );
         self.deferred = deferred;
-        self.backend.set_deferred_sector_crypto(deferred);
     }
 
     /// Patch a deferred record's payload (decrypted by the apply stage).
@@ -435,56 +412,10 @@ impl CompliantDb {
     }
 
     /// Commit the deferred queue to the log store in sequence order (the
-    /// pipeline's account stage).
-    ///
-    /// When the logger encrypts payloads at rest (P_SYS), the AES runs
-    /// *here*, fanned out across the apply-stage workers, instead of
-    /// serially inside every append: each queued record's payload is
-    /// transformed with the logger's shared cipher schedule under
-    /// `iv_from_nonce(seq)` — deterministic, so the committed bytes (and
-    /// the tamper-evidence chain) are identical to serial execution —
-    /// and committed via [`AuditLogger::append_ciphered`]. Costs were
-    /// charged at op time either way.
+    /// pipeline's account stage). Costs were charged at op time.
     pub(crate) fn commit_deferred(&mut self) {
-        let cipher = match self.logger.payload_cipher() {
-            // No at-rest payload cipher, or no pool to fan out over
-            // (single-core host): append_precharged does the right thing
-            // inline — same bytes, no job round-trip.
-            Some(c) if self.pool.is_some() => c,
-            _ => {
-                for rec in std::mem::take(&mut self.pending_log) {
-                    self.logger.append_precharged(rec);
-                }
-                return;
-            }
-        };
-        let mut jobs: Vec<CipherJob> = self
-            .pending_log
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, rec)| !rec.payload.is_empty())
-            .map(|(slot, rec)| CipherJob {
-                slot,
-                // Every record seq is unique: jobs spread round-robin
-                // over the workers and the dedup pass never coalesces.
-                shard: rec.seq,
-                cipher: std::sync::Arc::clone(&cipher),
-                iv: AesCtr::iv_from_nonce(rec.seq),
-                data: std::mem::take(&mut rec.payload),
-            })
-            .collect();
-        crate::exec::run_jobs(
-            &mut jobs,
-            self.pool.as_ref(),
-            self.config.pipeline_fanout_bytes,
-            // One job per unique record seq: nothing to dedup.
-            false,
-        );
-        for job in jobs {
-            self.pending_log[job.slot].payload = job.data;
-        }
         for rec in std::mem::take(&mut self.pending_log) {
-            self.logger.append_ciphered(rec);
+            self.logger.append_precharged(rec);
         }
     }
 
@@ -942,7 +873,6 @@ impl CompliantDb {
                     } else {
                         job = Some(CipherJob {
                             slot: 0, // assigned when the record is queued
-                            shard: meta.unit.0,
                             iv,
                             cipher,
                             data,

@@ -5,11 +5,12 @@
 //!
 //! Every driver submits through [`Frontend::submit`], i.e. through the
 //! staged batch pipeline (`datacase_engine::exec`) when
-//! [`EngineConfig::pipeline`] is on: within each submitted chunk, runs of
-//! point reads fan their payload work out across scoped workers while
-//! mutations stay serial barriers. Batch size and pipeline mode never
-//! change results — only boundary crossings and wall-clock time (the
-//! `prop_frontend` parity suite holds the engine to that).
+//! [`EngineConfig::pipeline`] is on: within each submitted chunk, point
+//! reads defer their payload work to the end of the span while barriers
+//! (compliance verbs, log-redacting deletes) flush it first. Batch size
+//! and pipeline mode never change results — only boundary crossings and
+//! wall-clock time (the `prop_frontend` parity suite holds the engine to
+//! that).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -309,12 +310,9 @@ mod tests {
     #[test]
     fn pipeline_mode_does_not_change_driver_results() {
         let run = |pipeline: bool| {
-            // Force multiple apply-stage workers so the scoped-thread
-            // fan-out path is exercised regardless of host core count.
-            let mut config = EngineConfig::for_profile(ProfileKind::PSys)
+            let config = EngineConfig::for_profile(ProfileKind::PSys)
                 .with_pipeline(pipeline)
                 .with_decision_cache(512);
-            config.pipeline_workers = 4;
             let mut fe = Frontend::new(config);
             let mut bench = GdprBench::new(9, 50);
             let load = bench.load_phase(150);

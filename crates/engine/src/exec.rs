@@ -17,19 +17,19 @@
 //!    comparison against the enforcer's current epoch — fine-grained,
 //!    structural invalidation instead of a TTL or a wholesale flush.
 //! 3. **Apply** — the span's deferred payload work (AES decryption of
-//!    every read tuple) fans out across `std::thread::scope` workers,
-//!    sharded by unit id. Everything that charges the simulated clock or
-//!    assigns audit sequence numbers ran in the serial pass, so the cost
-//!    stream — and with it every audit-record timestamp — is identical
-//!    to sequential execution.
+//!    every read tuple) runs once the span's serial pass is done.
+//!    Everything that charges the simulated clock or assigns audit
+//!    sequence numbers ran in the serial pass, so the cost stream — and
+//!    with it every audit-record timestamp — is identical to sequential
+//!    execution.
 //! 4. **Account** — the span's audit records, queued in sequence order
 //!    during the serial pass, are committed to the log store in that
 //!    order (decrypted payloads patched in first), so the
-//!    tamper-evidence chain is byte-identical to a sequential run's. On
-//!    the P_SYS encrypted log the records' payload AES itself runs on
-//!    the apply-stage workers before the in-order commit: the ciphertext
-//!    is deterministic per record (`iv_from_nonce(seq)`), so the chain
-//!    bytes cannot diverge from serial execution.
+//!    tamper-evidence chain is byte-identical to a sequential run's.
+//!
+//! Every stage runs on the calling thread: a shard's engine spawns no
+//! threads, and parallelism comes from running shards side by side
+//! (see [`crate::concurrent`]).
 //!
 //! The `prop_frontend` parity suite holds both modes — pipeline on and
 //! off — to the same replies, meter counters, forensic residuals, and
@@ -231,25 +231,19 @@ impl DecisionCache {
 // Apply stage: deferred payload work
 // ---------------------------------------------------------------------
 
-/// Payload AES work deferred out of the serial pass — CTR is an
-/// involution, so the same job shape covers both directions: decrypting
-/// stored tuple bytes into a queued audit record's payload (the read
-/// path), and encrypting queued payloads into their at-rest form for the
-/// P_SYS encrypted log (the account path). All simulated costs were
-/// charged when the job was created; running it is pure host CPU.
+/// A point read's payload decryption, deferred out of the serial pass:
+/// it turns stored tuple bytes into a queued audit record's payload. All
+/// simulated costs were charged when the job was created; running it is
+/// pure host CPU.
 pub(crate) struct CipherJob {
     /// Index of the record this job's output belongs to, within the
     /// engine's deferred-record queue.
     pub slot: usize,
-    /// Fan-out shard (unit id for tuple work, record seq for log work):
-    /// jobs of one shard always land on the same worker, preserving
-    /// per-shard order.
-    pub shard: u64,
-    /// The expanded cipher schedule, shared — never re-expanded per job.
+    /// The vault's expanded cipher schedule — never re-expanded per job.
     pub cipher: std::sync::Arc<AesCtr>,
     /// The payload's IV.
     pub iv: [u8; 16],
-    /// Ciphertext in, plaintext out (or vice versa).
+    /// Stored ciphertext in, plaintext out.
     pub data: Vec<u8>,
 }
 
@@ -285,229 +279,17 @@ impl StagedRead {
     }
 }
 
-/// Below this many unique jobs a span runs its AES inline: scoped-thread
-/// spawn costs more than it saves. Byte volume has its own threshold
-/// ([`crate::profiles::EngineConfig::pipeline_fanout_bytes`]) — job
-/// *count* alone is a bad proxy since the crypto overhaul: 256
-/// cached-key 100-byte decrypts are only ~25 KiB of AES, gone in ~100 µs
-/// on the T-table path.
-const MIN_FANOUT_JOBS: usize = 24;
-
-/// A persistent pool of AES workers, spawned once per engine and fed one
-/// batch of jobs per span flush. Replaces the per-span
-/// `std::thread::scope` fan-out: with the T-table path a typical span's
-/// AES is a few hundred microseconds of work, and re-spawning workers for
-/// every span cost more than it saved.
-///
-/// The protocol is a plain fan-out/fan-in: distinct jobs are sharded to
-/// the workers' queues, each worker runs its batch and sends it back, the
-/// caller reassembles by index. Workers idle on `recv` between flushes
-/// and exit when the engine (and with it the senders) drops.
-pub(crate) struct CipherPool {
-    txs: Vec<std::sync::mpsc::Sender<Vec<(usize, CipherJob)>>>,
-    done_rx: std::sync::mpsc::Receiver<Vec<(usize, CipherJob)>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl CipherPool {
-    /// Spawn `workers` (≥ 2) pool threads.
-    pub(crate) fn new(workers: usize) -> CipherPool {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<Vec<(usize, CipherJob)>>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok(mut batch) = rx.recv() {
-                    for (_, job) in batch.iter_mut() {
-                        job.run();
-                    }
-                    if done.send(batch).is_err() {
-                        break;
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        CipherPool {
-            txs,
-            done_rx,
-            handles,
-        }
-    }
-
-    /// Pool width.
-    pub(crate) fn workers(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Run the per-worker batches to completion, returning every
-    /// (index, job) pair once its AES is done.
-    fn dispatch(&self, batches: Vec<Vec<(usize, CipherJob)>>) -> Vec<(usize, CipherJob)> {
-        let mut outstanding = 0usize;
-        let mut total = 0usize;
-        for (worker, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            total += batch.len();
-            self.txs[worker].send(batch).expect("cipher worker alive");
-            outstanding += 1;
-        }
-        let mut done = Vec::with_capacity(total);
-        for _ in 0..outstanding {
-            done.extend(self.done_rx.recv().expect("cipher worker alive"));
-        }
-        done
-    }
-}
-
-impl Drop for CipherPool {
-    fn drop(&mut self) {
-        self.txs.clear(); // workers see a closed channel and exit
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Run a span's cipher jobs.
-///
-/// Two batch-level optimizations sequential execution structurally cannot
-/// make:
-///
-/// * **Coalescing** — zipfian read batches hit hot keys repeatedly, and
-///   two jobs with the same (unit, IV, ciphertext) have the same
-///   plaintext: each distinct job runs once and duplicates copy its
-///   output. Simulated decrypt costs were charged per read in the serial
-///   pass, exactly as sequential execution charges them — only host CPU
-///   is deduplicated.
-/// * **Fan-out** — spans carrying at least `min_fanout_bytes` of distinct
-///   AES work spread it across the persistent [`CipherPool`], sharded by
-///   `CipherJob::shard` so one worker owns all of a shard's work; smaller
-///   spans run inline, where the T-table path finishes before the pool
-///   round-trip would.
-pub(crate) fn run_jobs(
-    jobs: &mut Vec<CipherJob>,
-    pool: Option<&CipherPool>,
-    min_fanout_bytes: usize,
-    dedup: bool,
-) {
-    // Dedup by (shard, iv, fingerprint-of-ciphertext) buckets without
-    // cloning payloads: a bucket hit compares the actual bytes, so a
-    // fingerprint collision can only cost a comparison, never a wrong
-    // plaintext. Callers whose jobs are distinct by construction (log
-    // encryption: one job per unique record seq) pass `dedup: false`
-    // and skip the full-payload fingerprint pass entirely.
-    let fingerprint = |data: &[u8]| -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in data {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
-    let mut dups: Vec<(usize, usize)> = Vec::new();
-    let mut is_dup = vec![false; jobs.len()];
-    let mut distinct = jobs.len();
-    let mut distinct_bytes: usize = jobs.iter().map(|j| j.data.len()).sum();
-    if dedup {
-        let mut buckets: HashMap<(u64, [u8; 16], u64), Vec<usize>> =
-            HashMap::with_capacity(jobs.len());
-        distinct = 0;
-        distinct_bytes = 0;
-        for i in 0..jobs.len() {
-            let key = (jobs[i].shard, jobs[i].iv, fingerprint(&jobs[i].data));
-            let bucket = buckets.entry(key).or_default();
-            match bucket.iter().find(|&&r| jobs[r].data == jobs[i].data) {
-                Some(&rep) => {
-                    dups.push((i, rep));
-                    is_dup[i] = true;
-                }
-                None => {
-                    bucket.push(i);
-                    distinct += 1;
-                    distinct_bytes += jobs[i].data.len();
-                }
-            }
-        }
-    }
-    let workers = pool.map(CipherPool::workers).unwrap_or(1);
-    if workers <= 1 || distinct < MIN_FANOUT_JOBS || distinct_bytes < min_fanout_bytes {
-        for (i, job) in jobs.iter_mut().enumerate() {
-            if !is_dup[i] {
-                job.run();
-            }
-        }
-    } else {
-        let pool = pool.expect("workers > 1 implies a pool");
-        let mut slots: Vec<Option<CipherJob>> = jobs.drain(..).map(Some).collect();
-        let mut batches: Vec<Vec<(usize, CipherJob)>> = Vec::new();
-        batches.resize_with(workers, Vec::new);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if !is_dup[i] {
-                let job = slot.take().expect("distinct job present");
-                let worker = (job.shard % workers as u64) as usize;
-                batches[worker].push((i, job));
-            }
-        }
-        for (i, job) in pool.dispatch(batches) {
-            slots[i] = Some(job);
-        }
-        jobs.extend(slots.into_iter().map(|s| s.expect("all jobs returned")));
-    }
-    for (dup, rep) in dups {
-        jobs[dup].data = jobs[rep].data.clone();
-    }
-}
-
-/// Apply + account: run the accumulated decrypt jobs (fanned out), patch
+/// Apply + account: run the span's decrypt jobs on this thread, patch
 /// their plaintexts into the deferred audit records, and commit the queue
-/// to the log store in sequence order. On encrypted-log profiles (P_SYS)
-/// the commit itself fans the records' payload AES out over the same
-/// workers first — see [`CompliantDb::commit_deferred`] — so the last
-/// serial AES of the account pass is gone.
+/// to the log store in sequence order.
 fn flush_span(db: &mut CompliantDb, jobs: &mut Vec<CipherJob>) {
     db.config().fault.hit(CrashPoint::Apply);
-    run_jobs(jobs, db.pool(), db.fanout_bytes(), true);
-    for job in jobs.drain(..) {
+    for mut job in jobs.drain(..) {
+        job.run();
         db.fill_deferred(job.slot, job.data);
     }
     db.config().fault.hit(CrashPoint::Account);
     db.commit_deferred();
-    flush_sector_crypto(db);
-}
-
-/// Drain the backend's deferred sector encryption (pages that crossed
-/// the buffer-pool/disk boundary during the span on a sector-encrypted
-/// substrate — P_GBench's LUKS shim) onto the same cipher workers. The
-/// sectors' simulated charges landed at write time; this is the pure
-/// host AES, the last serial crypto of the P_GBench hot path.
-///
-/// Runs as its own `run_jobs` call with `dedup: false`: sector jobs are
-/// distinct by construction (one per sector), and the dedup bucket key
-/// does not include which cipher a job carries, so they must never share
-/// a dedup pass with tuple jobs.
-fn flush_sector_crypto(db: &mut CompliantDb) {
-    let pending = db.backend_mut().take_pending_sector_crypto();
-    if pending.is_empty() {
-        return;
-    }
-    let mut jobs: Vec<CipherJob> = pending
-        .into_iter()
-        .map(|p| CipherJob {
-            slot: p.sector as usize,
-            shard: p.sector as u64,
-            cipher: p.cipher,
-            iv: p.iv,
-            data: p.data,
-        })
-        .collect();
-    run_jobs(&mut jobs, db.pool(), db.fanout_bytes(), false);
-    for job in jobs {
-        db.backend_mut()
-            .store_sector_ciphertext(job.slot as u32, job.data);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -565,8 +347,8 @@ pub(crate) fn execute<T: Borrow<Request>>(
 /// Execute a queued burst of submissions — possibly from different
 /// sessions — through **one** staged pipeline, overlapping plan/decide/
 /// apply across submission boundaries: a read wave at the tail of one
-/// submission and the head of the next flush as a single span, so queue
-/// bursts amortize fan-out cost that per-call execution cannot.
+/// submission and the head of the next flush as a single span, so a
+/// queue burst pays one flush where per-call execution pays several.
 ///
 /// The contract is the same as [`execute`]'s, extended across the burst:
 /// the account pass stays serial in global submission order, records are

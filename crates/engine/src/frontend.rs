@@ -472,8 +472,8 @@ impl Frontend {
     /// else — execution itself runs through the staged batch pipeline
     /// ([`crate::exec`]): requests are *planned* into read waves and
     /// serial barriers, *decided* against the epoch-versioned policy
-    /// cache, *applied* (read payload work fans out across scoped worker
-    /// threads), and *accounted* (audit records committed in batch
+    /// cache, *applied* (each span's deferred read decryption runs in one
+    /// pass), and *accounted* (audit records committed in batch
     /// order). Submitting one batch of *n* requests is semantically
     /// identical to submitting *n* single-request batches, and pipelined
     /// execution is observably identical to serial execution down to the

@@ -23,10 +23,10 @@
 //! outcome is `Result<Reply, EngineError>` plus an [`AuditRef`] into the
 //! audit log. Batches execute through the staged pipeline in [`exec`]
 //! (plan → decide → apply → account): policy checks resolve against an
-//! epoch-versioned decision cache, read payload work is coalesced and
-//! fanned out across scoped workers, and audit records commit in batch
-//! order — observably identical to serial execution down to the audit
-//! chain's bytes. The engine simultaneously maintains the Data-CASE
+//! epoch-versioned decision cache, read payload work runs once per span,
+//! and audit records commit in batch order — observably identical to
+//! serial execution down to the audit chain's bytes. A shard's engine
+//! runs on one thread; [`ConcurrentEngine`] gets parallelism from shards. The engine simultaneously maintains the Data-CASE
 //! *abstract model* (state + action history from `datacase-core`), so the
 //! compliance checker can audit any run; the erasure executor that maps
 //! grounded interpretations to system-action plans (Table 1) is driven by

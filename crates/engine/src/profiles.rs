@@ -120,23 +120,15 @@ pub struct EngineConfig {
     /// [`PolicyEpoch`]: datacase_policy::enforcer::PolicyEpoch
     pub decision_cache: usize,
     /// Execute batches through the staged pipeline (plan → decide →
-    /// apply → account) in [`Frontend::submit`]: read-only runs fan
-    /// payload work out across scoped worker threads while the simulated
-    /// cost stream — and therefore replies, meter, and the audit chain —
-    /// stays byte-identical to serial execution (the `prop_frontend`
-    /// parity suite enforces this). On by default.
+    /// apply → account) in [`Frontend::submit`]: point reads defer their
+    /// payload decryption and audit appends to the end of each span,
+    /// while the simulated cost stream — and therefore replies, meter,
+    /// and the audit chain — stays byte-identical to serial execution
+    /// (the `prop_frontend` parity suite enforces this). Both modes run
+    /// on the calling thread. On by default.
     ///
     /// [`Frontend::submit`]: crate::frontend::Frontend::submit
     pub pipeline: bool,
-    /// Worker threads for the pipeline's apply stage; `0` picks the host
-    /// parallelism (capped at 8). Sharding of work across workers is by
-    /// unit id, so per-unit ordering is stable.
-    pub pipeline_workers: usize,
-    /// Minimum distinct payload bytes in a span before its AES work fans
-    /// out across worker threads; smaller spans run inline, where the
-    /// T-table path finishes faster than the workers could be spawned.
-    /// Lower it (tests use `0`) to force the threaded path.
-    pub pipeline_fanout_bytes: usize,
     /// Which AES implementation every crypto path this engine constructs
     /// (tuple vault, sector cipher, encrypted audit log) runs on:
     /// [`CryptoBackend::Auto`] (the default) detects hardware AES-NI and
@@ -169,11 +161,6 @@ pub struct EngineConfig {
     pub fault: FaultInjector,
 }
 
-/// Default [`EngineConfig::pipeline_fanout_bytes`]: ~200 µs of AES at
-/// T-table throughput, about where fan-out starts beating worker spawn
-/// cost.
-pub const DEFAULT_FANOUT_BYTES: usize = 64 * 1024;
-
 impl EngineConfig {
     /// Stock engine (vanilla PSQL stand-in) with a delete strategy —
     /// the Figure 4a/Table 1 configuration.
@@ -193,8 +180,6 @@ impl EngineConfig {
             fgac_index: true,
             decision_cache: 0,
             pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -218,8 +203,6 @@ impl EngineConfig {
             fgac_index: true,
             decision_cache: 0,
             pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -246,8 +229,6 @@ impl EngineConfig {
             fgac_index: true,
             decision_cache: 0,
             pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -271,8 +252,6 @@ impl EngineConfig {
             fgac_index: true,
             decision_cache: 0,
             pipeline: true,
-            pipeline_workers: 0,
-            pipeline_fanout_bytes: DEFAULT_FANOUT_BYTES,
             crypto_backend: CryptoBackend::Auto,
             keystream_cache: 0,
             fault: FaultInjector::disabled(),
@@ -334,17 +313,6 @@ impl EngineConfig {
     pub fn with_crypto_backend(mut self, backend: CryptoBackend) -> EngineConfig {
         self.crypto_backend = backend;
         self
-    }
-
-    /// Back-compat shim: `true` is [`CryptoBackend::Reference`], `false`
-    /// the default [`CryptoBackend::Auto`]. Prefer
-    /// [`with_crypto_backend`](EngineConfig::with_crypto_backend).
-    pub fn with_reference_crypto(self, on: bool) -> EngineConfig {
-        self.with_crypto_backend(if on {
-            CryptoBackend::Reference
-        } else {
-            CryptoBackend::Auto
-        })
     }
 
     /// Is data encrypted at rest under this configuration? Per-tuple

@@ -236,35 +236,6 @@ pub trait StorageBackend: Send {
     /// Clone out the substrate's durable layer (retained WAL / committed
     /// run manifest) for crash recovery. See [`DurableSnapshot`].
     fn durable_snapshot(&self) -> DurableSnapshot;
-
-    // ------------------------------------------------------------------
-    // Deferred sector crypto (pipeline offload; optional)
-    // ------------------------------------------------------------------
-
-    /// Switch deferred sector-layer encryption on or off, if this
-    /// substrate encrypts at the sector layer (the heap's LUKS shim).
-    /// While on, encrypted page writes store plaintext and queue the
-    /// host AES for [`take_pending_sector_crypto`]; turning it off seals
-    /// any remainder inline. Simulated charges never move. Default: no-op
-    /// (substrates without sector encryption have nothing to defer).
-    ///
-    /// [`take_pending_sector_crypto`]: StorageBackend::take_pending_sector_crypto
-    fn set_deferred_sector_crypto(&mut self, _on: bool) {}
-
-    /// Hand out every sector whose encryption was deferred, as
-    /// self-contained jobs for worker threads. Every job's ciphertext
-    /// must come back via [`store_sector_ciphertext`] before any other
-    /// access to this backend. Default: empty.
-    ///
-    /// [`store_sector_ciphertext`]: StorageBackend::store_sector_ciphertext
-    fn take_pending_sector_crypto(&mut self) -> Vec<crate::disk::PendingSectorCrypto> {
-        Vec::new()
-    }
-
-    /// Store the ciphertext computed for a job from
-    /// [`take_pending_sector_crypto`](StorageBackend::take_pending_sector_crypto).
-    /// Default: unreachable (no jobs are ever handed out).
-    fn store_sector_ciphertext(&mut self, _sector: u32, _data: Vec<u8>) {}
 }
 
 // ---------------------------------------------------------------------
@@ -349,21 +320,6 @@ impl StorageBackend for HeapDb {
 
     fn durable_snapshot(&self) -> DurableSnapshot {
         DurableSnapshot::Heap(self.wal_records())
-    }
-
-    fn set_deferred_sector_crypto(&mut self, on: bool) {
-        self.disk_mut().set_deferred_crypto(on);
-    }
-
-    fn take_pending_sector_crypto(&mut self) -> Vec<crate::disk::PendingSectorCrypto> {
-        // Only pages that already crossed the disk boundary (evictions,
-        // checkpoints, maintenance) can be pending — dirty pages still in
-        // the buffer pool have not been written in serial mode either.
-        self.disk_mut().take_pending_crypto()
-    }
-
-    fn store_sector_ciphertext(&mut self, sector: u32, data: Vec<u8>) {
-        self.disk_mut().store_ciphertext(sector, data);
     }
 }
 

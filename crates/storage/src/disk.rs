@@ -14,30 +14,11 @@
 //! where the crypto overhaul pays the most.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use datacase_crypto::ctr::AesCtr;
 use datacase_crypto::sector::SectorCipher;
 use datacase_sim::{Meter, SimClock};
 
 use crate::page::PAGE_SIZE;
-
-/// One sector whose host-side encryption was deferred: everything a
-/// worker thread needs to produce the ciphertext the serial path would
-/// have written. Simulated costs were already charged at write time —
-/// this is pure host work, which is exactly why it can move to a worker.
-#[derive(Debug)]
-pub struct PendingSectorCrypto {
-    /// The sector id (also the page id).
-    pub sector: u32,
-    /// The sector-bound ESSIV IV.
-    pub iv: [u8; 16],
-    /// Shared handle to the disk's expanded CTR cipher.
-    pub cipher: Arc<AesCtr>,
-    /// The plaintext page content to encrypt in place.
-    pub data: Vec<u8>,
-}
 
 /// A page-granular simulated disk.
 ///
@@ -53,15 +34,6 @@ pub struct Disk {
     cipher: Option<SectorCipher>,
     clock: SimClock,
     meter: std::sync::Arc<Meter>,
-    /// Deferred-crypto mode: encrypted writes store plaintext and mark
-    /// the sector pending instead of running host AES inline; the
-    /// pipeline drains [`take_pending_crypto`](Disk::take_pending_crypto)
-    /// onto its workers at span flush. Simulated charges are identical
-    /// either way — only where the host cipher runs moves.
-    deferred: bool,
-    /// Sectors currently holding plaintext awaiting encryption, in
-    /// deterministic (sorted) order.
-    pending: BTreeSet<u32>,
     /// Direct-mapped sector-keystream cache: slot `sector % capacity`
     /// holds `(sector, keystream page)`. A sector's CTR keystream depends
     /// only on the disk key and the sector number — it never goes stale —
@@ -101,8 +73,6 @@ impl Disk {
             cipher: None,
             clock,
             meter,
-            deferred: false,
-            pending: BTreeSet::new(),
             ks_cache: RefCell::new(Vec::new()),
         }
     }
@@ -115,8 +85,6 @@ impl Disk {
             cipher: Some(cipher),
             clock,
             meter,
-            deferred: false,
-            pending: BTreeSet::new(),
             ks_cache: RefCell::new(Vec::new()),
         }
     }
@@ -185,11 +153,7 @@ impl Disk {
         let id = self.sectors.len() as u32;
         let mut sector = vec![0u8; PAGE_SIZE];
         if let Some(c) = &self.cipher {
-            if self.deferred {
-                self.pending.insert(id);
-            } else {
-                self.host_crypt(c, id, &mut sector);
-            }
+            self.host_crypt(c, id, &mut sector);
         }
         self.sectors.push(sector);
         self.remanence.push(None);
@@ -221,11 +185,7 @@ impl Disk {
             self.clock
                 .charge(model.aes_cost(c.key_size().bits(), data.len()));
             Meter::bump(&self.meter.crypto_bytes, data.len() as u64);
-            // A pending sector still holds plaintext: the decrypt charge
-            // lands as usual but the host cipher has nothing to undo.
-            if !self.pending.contains(&id) {
-                self.host_crypt(c, id, &mut data);
-            }
+            self.host_crypt(c, id, &mut data);
         }
         data
     }
@@ -251,22 +211,11 @@ impl Disk {
         });
         Meter::bump(&self.meter.pages_written, 1);
         let mut buf = data.to_vec();
-        let mut defer = false;
         if let Some(c) = &self.cipher {
             self.clock
                 .charge(model.aes_cost(c.key_size().bits(), buf.len()));
             Meter::bump(&self.meter.crypto_bytes, buf.len() as u64);
-            if self.deferred {
-                defer = true;
-            } else {
-                self.host_crypt(c, id, &mut buf);
-            }
-        }
-        // If the sector's previous content is itself a pending plaintext
-        // write, seal it now: the remanence ghost below must be the
-        // ciphertext the serial path would have left at the drive layer.
-        if defer {
-            self.seal_sector(id);
+            self.host_crypt(c, id, &mut buf);
         }
         // Physical remanence: the previous sector content lingers at the
         // drive layer until sanitised.
@@ -274,84 +223,6 @@ impl Disk {
         if old.iter().any(|&b| b != 0) {
             self.remanence[id as usize] = Some(old);
         }
-        if defer {
-            self.pending.insert(id);
-        }
-    }
-
-    /// Host-encrypt a pending sector in place (no simulated charge — the
-    /// write that marked it pending already paid). No-op for sectors that
-    /// are not pending.
-    fn seal_sector(&mut self, id: u32) {
-        if self.pending.remove(&id) {
-            let mut data = std::mem::take(&mut self.sectors[id as usize]);
-            if let Some(c) = &self.cipher {
-                self.host_crypt(c, id, &mut data);
-            }
-            self.sectors[id as usize] = data;
-        }
-    }
-
-    /// Switch deferred sector crypto on or off. Turning it off seals any
-    /// still-pending sectors inline — the safety net that keeps the disk
-    /// externally indistinguishable from serial operation whenever
-    /// deferral is not active. Meaningless (but harmless) without sector
-    /// encryption.
-    pub fn set_deferred_crypto(&mut self, on: bool) {
-        self.deferred = on;
-        if !on {
-            let ids: Vec<u32> = std::mem::take(&mut self.pending).into_iter().collect();
-            for id in ids {
-                let mut data = std::mem::take(&mut self.sectors[id as usize]);
-                if let Some(c) = &self.cipher {
-                    self.host_crypt(c, id, &mut data);
-                }
-                self.sectors[id as usize] = data;
-            }
-        }
-    }
-
-    /// Take every pending sector as a self-contained encryption job
-    /// (sorted by sector id), leaving the sectors empty until the
-    /// ciphertext comes back via
-    /// [`store_ciphertext`](Disk::store_ciphertext). The caller — the
-    /// pipeline's span flush — must store every job's result before any
-    /// other disk access.
-    pub fn take_pending_crypto(&mut self) -> Vec<PendingSectorCrypto> {
-        let Some(c) = &self.cipher else {
-            return Vec::new();
-        };
-        // With the keystream cache live, sealing a sector is a XOR (plus
-        // at most one stream derivation per cold slot) — cheaper done
-        // right here than shipped to workers, which would re-run full
-        // AES per page. Fan-out remains the path for uncached configs.
-        let seal_inline = !self.ks_cache.borrow().is_empty() && !c.reference_mode();
-        let ids: Vec<u32> = std::mem::take(&mut self.pending).into_iter().collect();
-        if seal_inline {
-            for id in ids {
-                let mut data = std::mem::take(&mut self.sectors[id as usize]);
-                if let Some(c) = &self.cipher {
-                    self.host_crypt(c, id, &mut data);
-                }
-                self.sectors[id as usize] = data;
-            }
-            return Vec::new();
-        }
-        ids.into_iter()
-            .map(|id| PendingSectorCrypto {
-                sector: id,
-                iv: c.sector_iv(id as u64),
-                cipher: c.shared_ctr(),
-                data: std::mem::take(&mut self.sectors[id as usize]),
-            })
-            .collect()
-    }
-
-    /// Store the ciphertext produced for a job handed out by
-    /// [`take_pending_crypto`](Disk::take_pending_crypto).
-    pub fn store_ciphertext(&mut self, sector: u32, data: Vec<u8>) {
-        debug_assert_eq!(data.len(), PAGE_SIZE, "sealed sectors are page-sized");
-        self.sectors[sector as usize] = data;
     }
 
     /// The raw on-disk bytes of a page — ciphertext if encryption is on.
@@ -379,9 +250,6 @@ impl Disk {
         }
         sector.fill(0);
         self.remanence[id as usize] = None;
-        // A sanitised sector holds literal zeros in either mode; nothing
-        // is left to encrypt.
-        self.pending.remove(&id);
     }
 
     /// Scan every raw page for `needle`, returning matching page ids.
@@ -475,6 +343,12 @@ mod tests {
             enc.scan_raw(b"SECRET-PII").is_empty(),
             "sector encryption hides plaintext from the raw disk"
         );
+        // An overwrite leaves the first write as a remanence ghost: it
+        // must be ciphertext too, as must the new sector content.
+        enc.write_page(id2, &page_with(b"SECRET-NEW"));
+        assert!(enc.scan_raw(b"SECRET-NEW").is_empty());
+        assert!(enc.scan_remanent(b"SECRET-PII").is_empty());
+        assert!(enc.remanence[id2 as usize].is_some(), "ghost retained");
     }
 
     #[test]
@@ -531,26 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_disk_seals_pending_inline_instead_of_emitting_jobs() {
-        let mut d = Disk::encrypted(
-            SimClock::commodity(),
-            Arc::new(Meter::new()),
-            SectorCipher::from_passphrase(b"seal-inline", KeySize::Aes256),
-        )
-        .with_keystream_cache(8);
-        d.set_deferred_crypto(true);
-        let id = d.allocate();
-        d.write_page(id, &page_with(b"inline-seal"));
-        let jobs = d.take_pending_crypto();
-        assert!(jobs.is_empty(), "cached disks keep sealing local");
-        assert!(
-            d.scan_raw(b"inline-seal").is_empty(),
-            "pending sector was sealed"
-        );
-        assert_eq!(&d.read_page(id)[100..111], b"inline-seal");
-    }
-
-    #[test]
     fn keystream_cache_is_invisible_in_bytes_and_charges() {
         // The same write/overwrite/read sequence on a cached and an
         // uncached encrypted disk: raw sector bytes, remanence ghosts,
@@ -588,86 +442,6 @@ mod tests {
             meter_b.snapshot(),
             "meter counters diverged"
         );
-    }
-
-    #[test]
-    fn deferred_crypto_drain_matches_serial_bytes_and_charges() {
-        // The same write sequence on a serial disk and a deferred disk
-        // (drained through take/store, like the pipeline does) must leave
-        // identical sectors, remanence, clock and meter.
-        let c1 = SimClock::commodity();
-        let m1 = Arc::new(Meter::new());
-        let mut serial = Disk::encrypted(
-            c1.clone(),
-            m1.clone(),
-            SectorCipher::from_passphrase(b"test", KeySize::Aes256),
-        );
-        let c2 = SimClock::commodity();
-        let m2 = Arc::new(Meter::new());
-        let mut deferred = Disk::encrypted(
-            c2.clone(),
-            m2.clone(),
-            SectorCipher::from_passphrase(b"test", KeySize::Aes256),
-        );
-        deferred.set_deferred_crypto(true);
-
-        for d in [&mut serial, &mut deferred] {
-            let a = d.allocate();
-            let b = d.allocate();
-            d.write_page(a, &page_with(b"first-content"));
-            d.write_page(b, &page_with(b"second-content"));
-            // Overwrite a pending sector: remanence must still be the
-            // ciphertext of the first content.
-            d.write_page(a, &page_with(b"first-overwrite"));
-            // Read-back of a pending sector decrypts to the same bytes.
-            assert_eq!(&d.read_page(a)[100..115], b"first-overwrite");
-        }
-
-        let jobs = deferred.take_pending_crypto();
-        assert!(!jobs.is_empty(), "deferred mode must hand out sector jobs");
-        for mut j in jobs {
-            j.cipher.apply_blocks(j.iv, &mut j.data);
-            deferred.store_ciphertext(j.sector, j.data);
-        }
-        deferred.set_deferred_crypto(false);
-
-        for id in 0..serial.len() as u32 {
-            assert_eq!(serial.raw(id), deferred.raw(id), "sector {id}");
-        }
-        assert_eq!(serial.scan_remanent(b"first-content").len(), 0);
-        assert_eq!(
-            deferred.scan_remanent(b"first-content").len(),
-            0,
-            "remanence holds ciphertext, not deferred plaintext"
-        );
-        assert_eq!(c1.now(), c2.now(), "simulated charges are identical");
-        assert_eq!(m1.snapshot().crypto_bytes, m2.snapshot().crypto_bytes);
-    }
-
-    #[test]
-    fn disabling_deferral_seals_pending_sectors_inline() {
-        let mut d = mk_disk(true);
-        d.set_deferred_crypto(true);
-        let id = d.allocate();
-        d.write_page(id, &page_with(b"SEAL-ME-PII"));
-        assert_eq!(d.scan_raw(b"SEAL-ME-PII"), vec![id], "pending = plaintext");
-        d.set_deferred_crypto(false);
-        assert!(
-            d.scan_raw(b"SEAL-ME-PII").is_empty(),
-            "safety net: no plaintext survives leaving deferred mode"
-        );
-        assert_eq!(&d.read_page(id)[100..111], b"SEAL-ME-PII");
-    }
-
-    #[test]
-    fn sanitize_clears_pending_state() {
-        let mut d = mk_disk(true);
-        d.set_deferred_crypto(true);
-        let id = d.allocate();
-        d.write_page(id, &page_with(b"WIPE-PENDING"));
-        d.sanitize_page(id, 3);
-        assert!(d.take_pending_crypto().is_empty());
-        assert!(d.raw(id).iter().all(|&b| b == 0));
     }
 
     #[test]

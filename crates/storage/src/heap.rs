@@ -634,11 +634,6 @@ impl HeapDb {
         &self.disk
     }
 
-    /// Mutable access to the underlying disk (deferred sector crypto).
-    pub fn disk_mut(&mut self) -> &mut Disk {
-        &mut self.disk
-    }
-
     /// The WAL (forensics, recovery).
     pub fn wal(&self) -> &Wal {
         &self.wal

@@ -7,7 +7,8 @@
 //! * the **decide** stage resolves repeated policy checks from an
 //!   epoch-versioned cache (allows *and* denials), invalidated by epoch
 //!   comparison the instant any grant/revoke/erasure lands;
-//! * the **apply** stage coalesces and fans out per-tuple AES work;
+//! * the **apply** stage runs each span's deferred per-tuple AES work in
+//!   one pass, on the calling thread;
 //! * the **account** stage commits audit records in batch order, so the
 //!   tamper-evidence chain is byte-identical to serial execution.
 //!
@@ -36,8 +37,7 @@ fn main() {
     println!("== Pipelined batches vs serial submit (YCSB-B, P_Base) ==\n");
     // Same configuration, only the execution mode differs: the pipeline's
     // contract is that everything observable — simulated completion and
-    // the audit chain's bytes — is identical, and only wall-clock moves
-    // (coalesced AES work here; thread fan-out on multi-core hosts).
+    // the audit chain's bytes — is identical, and only wall-clock moves.
     let wall = Instant::now();
     let (serial, serial_chain, _) = run(false, 4096);
     let serial_wall = wall.elapsed();

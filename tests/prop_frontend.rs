@@ -7,11 +7,11 @@
 //!   stream, same work-meter counters, same forensic residuals. This is
 //!   what makes the drivers' batch-first execution safe.
 //! * **Pipeline parity** — executing through the staged batch pipeline
-//!   (plan → decide → apply → account, with read waves fanned out across
-//!   worker threads) must be indistinguishable from plain serial
-//!   execution, down to the **bytes of the audit chain**: every record's
-//!   sequence number, timestamp, and payload must match, or the chain
-//!   heads diverge. Pipelining amortizes wall-clock time, never
+//!   (plan → decide → apply → account, with read decryption and audit
+//!   appends deferred to each span's end) must be indistinguishable from
+//!   plain serial execution, down to the **bytes of the audit chain**:
+//!   every record's sequence number, timestamp, and payload must match,
+//!   or the chain heads diverge. Pipelining amortizes wall-clock time, never
 //!   semantics.
 //! * **Multi-session parity** — interleaved batches from ≥3 concurrent
 //!   sessions through the sharded [`ConcurrentEngine`] must replay
@@ -121,12 +121,6 @@ fn run(
         .with_pipeline(pipeline)
         .with_decision_cache(cache);
     config.maintenance_every = 25;
-    // Force several apply-stage workers so the scoped-thread fan-out path
-    // is exercised (and proven identical) regardless of host core count,
-    // and drop the byte threshold so these small GDPRBench payloads
-    // actually cross it.
-    config.pipeline_workers = 3;
-    config.pipeline_fanout_bytes = 0;
     let mut fe = Frontend::new(config);
     let mut bench = GdprBench::new(seed, 60);
     let controller = Session::new(Actor::Controller);
@@ -209,7 +203,7 @@ proptest! {
     ) {
         let cache = if cached { 1024 } else { 0 };
         for backend in BackendKind::ALL {
-            for profile in [ProfileKind::PBase, ProfileKind::PSys] {
+            for profile in [ProfileKind::PBase, ProfileKind::PGBench, ProfileKind::PSys] {
                 let serial = run(backend, profile, seed, 60, txns, batch_size, false, cache);
                 let piped = run(backend, profile, seed, 60, txns, batch_size, true, cache);
                 prop_assert_eq!(
