@@ -7,8 +7,11 @@
 //! the tree therefore orders entries by the composite `(key, Tid)`, which
 //! is unique, and internal separators carry the full composite (this is
 //! how real B-trees avoid losing duplicates that straddle a split).
-//! Readers filter by visibility, and VACUUM removes entries for reclaimed
-//! versions — the "dead index probe" cost that figures 4a/4c exercise.
+//! [`BTreeIndex::get`] returns a key's entries in ascending `Tid` order;
+//! readers filter them by visibility (the heap walks them newest-first
+//! and stops at the visible version). Entries of dead versions stay until
+//! VACUUM removes them, so a probe for a key with no visible version pays
+//! for every one — the "dead index probe" cost that figures 4a/4c exercise.
 
 use datacase_sim::{Meter, SimClock};
 

@@ -1,7 +1,11 @@
-//! Free-space map: tracks approximate free bytes per heap page so inserts
-//! find a home without scanning the whole table.
+//! Free-space map: tracks the exact free bytes of every heap page so
+//! inserts can pick a page without reading page contents. [`find`] scans
+//! that per-page map linearly, first fit — one `u16` per page, not a
+//! bucketed or tree-structured summary like PostgreSQL's FSM.
+//!
+//! [`find`]: FreeSpaceMap::find
 
-/// Approximate per-page free space, PostgreSQL-FSM-style (coarse buckets).
+/// Exact per-page free space, one entry per heap page in table order.
 #[derive(Clone, Debug, Default)]
 pub struct FreeSpaceMap {
     free: Vec<u16>,
@@ -27,8 +31,9 @@ impl FreeSpaceMap {
         }
     }
 
-    /// Find a page with at least `need` free bytes, preferring earlier
-    /// pages (keeps the table dense after vacuum).
+    /// Find the first page with at least `need` free bytes: a linear
+    /// first-fit scan from page 0, so earlier pages are preferred (keeps
+    /// the table dense after vacuum). Cost is linear in the table's pages.
     pub fn find(&self, need: usize) -> Option<u32> {
         self.free
             .iter()

@@ -4,8 +4,10 @@
 //! them:
 //!
 //! * `DELETE` stamps `xmax` — the tuple's bytes stay on the page;
-//! * scans and index probes pay for every dead version they skip, so
-//!   deletes *slow down the other 80 % of the workload* until vacuumed;
+//! * scans pay for every dead version they skip; index probes go
+//!   newest-first and pay for the dead versions ahead of the visible one,
+//!   and for all of them on a key with none — so deletes *slow down the
+//!   other 80 % of the workload* until vacuumed;
 //! * `VACUUM` reclaims dead tuples in place (and wipes their bytes);
 //! * `VACUUM FULL` rewrites the table into fresh pages, zeroes the old
 //!   ones (leaving drive-level remanence), and rebuilds the index;
@@ -210,11 +212,19 @@ impl HeapDb {
     }
 
     /// Find the visible version of `key` (hidden versions included).
+    ///
+    /// A key has at most one visible version: `insert` refuses a key that
+    /// already has one, and `new_version` and `delete` stamp `xmax` on the
+    /// old version before anything else. So the probe may stop at the
+    /// first visible candidate in any order. It goes newest-first (by
+    /// descending `Tid`): new versions land at the table's tail, so a live
+    /// key is reached without visiting its superseded versions, while a
+    /// key with no visible version still pays for every dead one.
     fn find_visible(&mut self, key: u64) -> Option<(Tid, TupleHeader)> {
         let snap = self.txn.snapshot();
         let candidates = self.index.get(key);
         let mut found = None;
-        for tid in candidates {
+        for tid in candidates.into_iter().rev() {
             let disk_id = self.disk_page(tid.page);
             let page = self.buffer.page(&mut self.disk, disk_id);
             let Some(bytes) = page.tuple(tid.slot) else {
@@ -885,6 +895,35 @@ mod tests {
             bloated > clean,
             "bloated scan {bloated:?} should exceed clean scan {clean:?}"
         );
+    }
+
+    #[test]
+    fn probes_reach_a_live_key_without_walking_its_dead_versions() {
+        const N: u64 = 20;
+        let mut db = mk();
+        db.insert(1, 100, b"v0").unwrap();
+        for i in 1..=N {
+            db.update(1, format!("v{i}").as_bytes()).unwrap();
+        }
+        let meter = db.meter().clone();
+        let probe = |db: &mut HeapDb| {
+            let before = meter.snapshot();
+            let got = db.read(1, false);
+            let after = meter.snapshot();
+            (
+                got,
+                after.tuples_scanned - before.tuples_scanned,
+                after.dead_tuples_skipped - before.dead_tuples_skipped,
+            )
+        };
+        // Live key: the newest version is visited first and ends the probe.
+        assert_eq!(probe(&mut db), (Some(format!("v{N}").into_bytes()), 1, 0));
+        // No visible version: every dead one is paid for (figure 4a's cost).
+        db.delete(1).unwrap();
+        assert_eq!(probe(&mut db), (None, 0, N + 1));
+        // VACUUM removes the dead versions and their index entries.
+        db.vacuum();
+        assert_eq!(probe(&mut db), (None, 0, 0));
     }
 
     #[test]

@@ -7,6 +7,30 @@ use data_case::storage::heap::HeapDb;
 use data_case::storage::lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
 
+/// The heap's answers for `key` — normal read, controller read, unit —
+/// against the model's `(payload, hidden)` entry.
+fn check_heap_key(
+    db: &mut HeapDb,
+    model: &std::collections::HashMap<u64, (Vec<u8>, bool)>,
+    key: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let entry = model.get(&key);
+    let any = db.read(key, true);
+    prop_assert_eq!(
+        any.as_deref(),
+        entry.map(|(v, _)| v.as_slice()),
+        "key {}",
+        key
+    );
+    let visible = db.read(key, false);
+    let expect = entry
+        .filter(|(_, hidden)| !hidden)
+        .map(|(v, _)| v.as_slice());
+    prop_assert_eq!(visible.as_deref(), expect, "key {}", key);
+    prop_assert_eq!(db.unit_of(key), entry.map(|_| key), "key {}", key);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -63,16 +87,14 @@ proptest! {
                     db.vacuum_full();
                 }
             }
+            // After every op, not only at the end: a probe that stopped on
+            // a stale or dead version fails here — say, when an update put
+            // the new version in a slot VACUUM freed, at a lower `Tid`
+            // than the version it superseded.
+            check_heap_key(&mut db, &model, key)?;
         }
-        for (k, (v, hidden)) in &model {
-            let visible = db.read(*k, false);
-            let any = db.read(*k, true);
-            prop_assert_eq!(any.as_deref(), Some(v.as_slice()), "key {}", k);
-            if *hidden {
-                prop_assert_eq!(visible, None);
-            } else {
-                prop_assert_eq!(visible.as_deref(), Some(v.as_slice()));
-            }
+        for &k in model.keys() {
+            check_heap_key(&mut db, &model, k)?;
         }
         let visible_count = model.values().filter(|(_, h)| !h).count();
         let mut scanned = 0usize;
